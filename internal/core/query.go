@@ -433,7 +433,7 @@ func (q *Querier) Explain(node types.NodeID, tuple types.Tuple, opts QueryOpts) 
 		}
 		q.consistencyCheck(node, root.T1, t2)
 	}
-	visited := make(map[string]bool)
+	visited := make(map[*provgraph.Vertex]bool)
 	expl := q.expand(root, opts, 0, visited)
 	q.Auditor.Finalize()
 	return expl, nil
@@ -481,7 +481,7 @@ func (q *Querier) findRoot(node types.NodeID, tuple types.Tuple, opts QueryOpts)
 // expand is the recursive macroquery walk: each visited vertex is resolved
 // via the shared graph, auditing new hosts as the traversal crosses node
 // boundaries (exactly the repeated microquery navigation of §4.4).
-func (q *Querier) expand(v *provgraph.Vertex, opts QueryOpts, depth int, visited map[string]bool) *Explanation {
+func (q *Querier) expand(v *provgraph.Vertex, opts QueryOpts, depth int, visited map[*provgraph.Vertex]bool) *Explanation {
 	q.Metrics.Microqueries++
 	e := &Explanation{Vertex: v}
 	// Crossing onto another node: audit it so the vertex can be verified
@@ -492,11 +492,11 @@ func (q *Querier) expand(v *provgraph.Vertex, opts QueryOpts, depth int, visited
 		}
 	}
 	e.Color, e.Note = q.colorOf(v)
-	if visited[v.ID()] {
+	if visited[v] {
 		e.Revisit = true
 		return e
 	}
-	visited[v.ID()] = true
+	visited[v] = true
 	if opts.Scope > 0 && depth >= opts.Scope {
 		e.Truncated = true
 		return e

@@ -426,6 +426,9 @@ func (a *Auditor) Commit(p *PreparedAudit) error {
 	if _, ok := a.covered[p.Node]; ok {
 		return nil // already replayed (one segment per node per query session)
 	}
+	// Size a fresh graph from the op stream (replays yield about four
+	// vertices per three ops), so the first commit does not rehash.
+	a.Builder.G.Grow(len(p.ops) * 4 / 3)
 	if p.err != nil {
 		a.applyOps(p.ops)
 		return p.err

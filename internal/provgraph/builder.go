@@ -38,7 +38,13 @@ type Builder struct {
 	pending map[types.NodeID]*ordmap[string, *Vertex]
 	ackpend map[types.NodeID]*ordmap[types.MessageID, *Vertex]
 	unacked map[types.NodeID]*ordmap[types.MessageID, *Vertex]
-	nopreds map[string]bool
+	nopreds map[*Vertex]bool
+
+	// unackedLow holds, per node, a lower bound on the send time T1 of its
+	// unacked sends. flagAllPending skips the unacked scan while the bound
+	// shows that no send can have waited past 2·Tprop; a scan resets the
+	// bound to the exact minimum of what it leaves behind.
+	unackedLow map[types.NodeID]types.Time
 
 	// MissedAckKnown reports whether the maintainer was notified about a
 	// missing acknowledgment (§5.4): if so, an unacked send is left yellow
@@ -71,7 +77,9 @@ func NewBuilder(factory types.MachineFactory, tprop types.Time) *Builder {
 		pending:  make(map[types.NodeID]*ordmap[string, *Vertex]),
 		ackpend:  make(map[types.NodeID]*ordmap[types.MessageID, *Vertex]),
 		unacked:  make(map[types.NodeID]*ordmap[types.MessageID, *Vertex]),
-		nopreds:  make(map[string]bool),
+		nopreds:  make(map[*Vertex]bool),
+
+		unackedLow: make(map[types.NodeID]types.Time),
 	}
 }
 
@@ -93,13 +101,18 @@ func (b *Builder) ackpendFor(i types.NodeID) *ordmap[types.MessageID, *Vertex] {
 	return om
 }
 
-func (b *Builder) unackedFor(i types.NodeID) *ordmap[types.MessageID, *Vertex] {
-	om := b.unacked[i]
+// addUnacked records send vertex v as awaiting its acknowledgment.
+func (b *Builder) addUnacked(v *Vertex) {
+	node := v.Msg.Src
+	om := b.unacked[node]
 	if om == nil {
 		om = newOrdmap[types.MessageID, *Vertex](cmpMessageID)
-		b.unacked[i] = om
+		b.unacked[node] = om
 	}
-	return om
+	if low, ok := b.unackedLow[node]; !ok || v.T1 < low {
+		b.unackedLow[node] = v.T1
+	}
+	om.set(v.Msg.ID(), v)
 }
 
 // delUnackedIf removes node's unacked entry for id if it is exactly v.
@@ -396,7 +409,7 @@ func (b *Builder) handleOutput(i types.NodeID, out types.Output, t types.Time) {
 			vwhy = b.G.FirstInstant(VAppear, i, m.Tuple, t)
 		}
 		v1 := b.addSendVertex(m, vwhy, t)
-		b.pendingFor(i).set(sendVID(m), v1)
+		b.pendingFor(i).set(v1.ID(), v1) // v1.ID() == sendVID(m)
 	}
 }
 
@@ -465,11 +478,17 @@ func (b *Builder) underiveVertex(i types.NodeID, tup types.Tuple, rule string, b
 // of the same rule, tuple, and instant. It is stored in the vertex's Remote
 // field, which derive/underive vertices do not otherwise use.
 func bodyFingerprint(body []types.Tuple) types.NodeID {
-	s := ""
+	n := 0
 	for _, t := range body {
-		s += t.Key() + ";"
+		n += len(t.Key()) + 1
 	}
-	return types.NodeID(s)
+	var sb strings.Builder
+	sb.Grow(n)
+	for _, t := range body {
+		sb.WriteString(t.Key())
+		sb.WriteByte(';')
+	}
+	return types.NodeID(sb.String())
 }
 
 // ---------------------------------------------------------------------------
@@ -538,10 +557,12 @@ func (b *Builder) flagAllPending(i types.NodeID, t types.Time) {
 			b.delUnackedIf(i, v.Msg.ID(), v)
 		}
 	}
-	if om := b.unacked[i]; om != nil && om.size() > 0 {
+	if om := b.unacked[i]; om != nil && om.size() > 0 && b.unackedLow[i] < t-2*b.tprop {
+		low := Forever
 		for _, id := range om.snapshot() {
 			v2, _ := om.get(id)
 			if v2.T1 >= t-2*b.tprop {
+				low = min(low, v2.T1)
 				continue
 			}
 			if b.MissedAckKnown != nil && b.MissedAckKnown(i, id) {
@@ -555,6 +576,7 @@ func (b *Builder) flagAllPending(i types.NodeID, t types.Time) {
 			b.G.SetColor(v2, Red)
 			om.del(id)
 		}
+		b.unackedLow[i] = low
 	}
 }
 
@@ -576,12 +598,12 @@ func (b *Builder) addSendVertex(m *types.Message, vwhy *Vertex, t types.Time) *V
 	if v1 == nil {
 		probe.Color = Yellow
 		v1 = b.G.Add(probe)
-		b.nopreds[v1.ID()] = true
-		b.unackedFor(m.Src).set(m.ID(), v1)
+		b.nopreds[v1] = true
+		b.addUnacked(v1)
 	}
-	if b.nopreds[v1.ID()] && vwhy != nil {
+	if b.nopreds[v1] && vwhy != nil {
 		_ = b.G.AddEdge(vwhy, v1)
-		delete(b.nopreds, v1.ID())
+		delete(b.nopreds, v1)
 	}
 	return v1
 }

@@ -2,87 +2,148 @@ package provgraph
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/types"
 )
 
 // Graph is a provenance graph: a set of vertices plus directed edges, with
 // the lookup indices the GCA needs (open exist/believe vertices, appear
-// vertices by instant). The zero value is not ready; use New.
+// vertices by instant). Index keys are small structs of strings, so a
+// lookup allocates nothing. The zero value is not ready; use New.
 type Graph struct {
 	vertices map[string]*Vertex
 	order    []*Vertex // insertion order, for deterministic iteration
-	edges    map[[2]string]bool
+	// edges is keyed by endpoint pointers: Add deduplicates by ID, so within
+	// one graph a pointer stands for exactly one ID.
+	edges map[[2]*Vertex]struct{}
 
 	// openExist maps host|tuple to the open exist vertex, if any.
-	openExist map[string]*Vertex
+	openExist map[hostTuple]*Vertex
 	// openBelieve maps host|origin|tuple to the open believe vertex.
-	openBelieve map[string]*Vertex
+	openBelieve map[originTuple]*Vertex
+	// believeAny maps host|tuple to the open believe vertices of every
+	// origin: exactly the values of openBelieve with that host and tuple,
+	// in the order they were indexed.
+	believeAny map[hostTuple][]*Vertex
 	// instant indexes appear/disappear/believe-appear/believe-disappear
 	// vertices by type|host|tuple|time (origin-wildcard, matching the
 	// pseudocode's believe-appear(i,?,τ,t) lookups).
-	instant map[string][]*Vertex
+	instant map[instantAt][]*Vertex
+}
+
+type hostTuple struct {
+	host  types.NodeID
+	tuple string
+}
+
+type originTuple struct {
+	host, origin types.NodeID
+	tuple        string
+}
+
+type instantAt struct {
+	typ   VertexType
+	host  types.NodeID
+	tuple string
+	at    types.Time
 }
 
 // New returns an empty graph.
 func New() *Graph {
 	return &Graph{
 		vertices:    make(map[string]*Vertex),
-		edges:       make(map[[2]string]bool),
-		openExist:   make(map[string]*Vertex),
-		openBelieve: make(map[string]*Vertex),
-		instant:     make(map[string][]*Vertex),
+		edges:       make(map[[2]*Vertex]struct{}),
+		openExist:   make(map[hostTuple]*Vertex),
+		openBelieve: make(map[originTuple]*Vertex),
+		believeAny:  make(map[hostTuple][]*Vertex),
+		instant:     make(map[instantAt][]*Vertex),
 	}
 }
 
-func existKey(host types.NodeID, tup types.Tuple) string {
-	return string(host) + "|" + tup.Key()
+// Grow sizes an empty graph for about n vertices, so a graph built in one
+// pass (a fresh auditor's first commit) does not rehash its maps as it
+// grows. Go maps cannot grow in place, so Grow does nothing once the graph
+// holds a vertex.
+func (g *Graph) Grow(n int) {
+	if len(g.order) != 0 || len(g.edges) != 0 {
+		return
+	}
+	g.vertices = make(map[string]*Vertex, n)
+	g.order = make([]*Vertex, 0, n)
+	g.edges = make(map[[2]*Vertex]struct{}, n)
+	g.instant = make(map[instantAt][]*Vertex, n/2)
 }
 
-func believeKey(host, origin types.NodeID, tup types.Tuple) string {
-	return string(host) + "|" + string(origin) + "|" + tup.Key()
+func hostTupleKey(host types.NodeID, tup types.Tuple) hostTuple {
+	return hostTuple{host, tup.Key()}
 }
 
-// instantKey is an internal index key; it is built without fmt because the
-// GCA performs an instant lookup for every body tuple of every derivation.
-func instantKey(t VertexType, host types.NodeID, tup types.Tuple, at types.Time) string {
-	var sb strings.Builder
-	sb.Grow(len(host) + len(tup.Key()) + 28)
-	sb.WriteString(strconv.FormatUint(uint64(t), 10))
-	sb.WriteByte('|')
-	sb.WriteString(string(host))
-	sb.WriteByte('|')
-	sb.WriteString(tup.Key())
-	sb.WriteByte('|')
-	sb.WriteString(strconv.FormatInt(int64(at), 10))
-	return sb.String()
+func believeKey(host, origin types.NodeID, tup types.Tuple) originTuple {
+	return originTuple{host, origin, tup.Key()}
+}
+
+func instantKey(t VertexType, host types.NodeID, tup types.Tuple, at types.Time) instantAt {
+	return instantAt{t, host, tup.Key(), at}
 }
 
 // Add inserts v if no vertex with the same ID exists and returns the vertex
 // that is in the graph afterwards (v or the pre-existing one).
 func (g *Graph) Add(v *Vertex) *Vertex {
-	if old, ok := g.vertices[v.ID()]; ok {
+	id := v.ID()
+	if old, ok := g.vertices[id]; ok {
 		return old
 	}
-	g.vertices[v.ID()] = v
+	g.vertices[id] = v
 	g.order = append(g.order, v)
 	switch v.Type {
 	case VExist:
 		if v.Open() {
-			g.openExist[existKey(v.Host, v.Tuple)] = v
+			g.openExist[hostTupleKey(v.Host, v.Tuple)] = v
 		}
 	case VBelieve:
 		if v.Open() {
-			g.openBelieve[believeKey(v.Host, v.Remote, v.Tuple)] = v
+			g.indexOpenBelieve(v)
 		}
 	case VAppear, VDisappear, VBelieveAppear, VBelieveDisappear:
 		k := instantKey(v.Type, v.Host, v.Tuple, v.T1)
 		g.instant[k] = append(g.instant[k], v)
 	}
 	return v
+}
+
+// indexOpenBelieve makes v the open believe vertex for its host, origin and
+// tuple, replacing any vertex indexed there before.
+func (g *Graph) indexOpenBelieve(v *Vertex) {
+	k := believeKey(v.Host, v.Remote, v.Tuple)
+	g.unindexOpenBelieve(k)
+	g.openBelieve[k] = v
+	ak := hostTuple{k.host, k.tuple}
+	g.believeAny[ak] = append(g.believeAny[ak], v)
+}
+
+// unindexOpenBelieve drops whatever open believe vertex is indexed under k.
+func (g *Graph) unindexOpenBelieve(k originTuple) {
+	old := g.openBelieve[k]
+	if old == nil {
+		return
+	}
+	delete(g.openBelieve, k)
+	ak := hostTuple{k.host, k.tuple}
+	vs := g.believeAny[ak]
+	for i, w := range vs {
+		if w == old {
+			vs = append(vs[:i], vs[i+1:]...)
+			break
+		}
+	}
+	if len(vs) == 0 {
+		delete(g.believeAny, ak)
+	} else {
+		g.believeAny[ak] = vs
+	}
 }
 
 // Get returns the vertex with the given ID, or nil.
@@ -104,11 +165,11 @@ func (g *Graph) AddEdge(from, to *Vertex) error {
 	if !LegalEdge(from.Type, to.Type) {
 		return fmt.Errorf("provgraph: illegal edge %s -> %s", from.Type, to.Type)
 	}
-	k := [2]string{from.ID(), to.ID()}
-	if g.edges[k] {
+	k := [2]*Vertex{from, to}
+	if _, ok := g.edges[k]; ok {
 		return nil
 	}
-	g.edges[k] = true
+	g.edges[k] = struct{}{}
 	from.out = append(from.out, to)
 	to.in = append(to.in, from)
 	return nil
@@ -116,12 +177,13 @@ func (g *Graph) AddEdge(from, to *Vertex) error {
 
 // HasEdge reports whether the edge (from → to) is present.
 func (g *Graph) HasEdge(from, to *Vertex) bool {
-	return g.edges[[2]string{from.ID(), to.ID()}]
+	_, ok := g.edges[[2]*Vertex{from, to}]
+	return ok
 }
 
 // OpenExist returns the open exist vertex for (host, tuple), or nil.
 func (g *Graph) OpenExist(host types.NodeID, tup types.Tuple) *Vertex {
-	return g.openExist[existKey(host, tup)]
+	return g.openExist[hostTupleKey(host, tup)]
 }
 
 // OpenBelieve returns the open believe vertex for (host, origin, tuple), or
@@ -136,13 +198,9 @@ func (g *Graph) OpenBelieve(host, origin types.NodeID, tup types.Tuple) *Vertex 
 // result is deterministic.
 func (g *Graph) OpenBelieveAny(host types.NodeID, tup types.Tuple) *Vertex {
 	var best *Vertex
-	prefix := string(host) + "|"
-	suffix := "|" + tup.Key()
-	for k, v := range g.openBelieve {
-		if len(k) >= len(prefix)+len(suffix) && k[:len(prefix)] == prefix && k[len(k)-len(suffix):] == suffix {
-			if best == nil || v.Remote < best.Remote {
-				best = v
-			}
+	for _, v := range g.believeAny[hostTupleKey(host, tup)] {
+		if best == nil || v.Remote < best.Remote {
+			best = v
 		}
 	}
 	return best
@@ -157,9 +215,9 @@ func (g *Graph) CloseInterval(v *Vertex, t types.Time) {
 	v.T2 = t
 	switch v.Type {
 	case VExist:
-		delete(g.openExist, existKey(v.Host, v.Tuple))
+		delete(g.openExist, hostTupleKey(v.Host, v.Tuple))
 	case VBelieve:
-		delete(g.openBelieve, believeKey(v.Host, v.Remote, v.Tuple))
+		g.unindexOpenBelieve(believeKey(v.Host, v.Remote, v.Tuple))
 	}
 }
 
@@ -263,7 +321,7 @@ func (g *Graph) Subgraph(h *Graph) bool {
 		}
 	}
 	for e := range g.edges {
-		if !h.edges[e] {
+		if !h.HasEdge(h.Get(e[0].ID()), h.Get(e[1].ID())) {
 			return false
 		}
 	}
@@ -276,7 +334,6 @@ func (g *Graph) Subgraph(h *Graph) bool {
 // cannot vouch for remote vertices).
 func (g *Graph) Project(id types.NodeID) *Graph {
 	p := New()
-	include := map[string]bool{}
 	for _, v := range g.order {
 		if v.Host != id {
 			continue
@@ -284,20 +341,18 @@ func (g *Graph) Project(id types.NodeID) *Graph {
 		cp := *v
 		cp.in, cp.out = nil, nil
 		p.Add(&cp)
-		include[v.ID()] = true
 	}
 	remote := func(v *Vertex) {
 		if v.Host == id || (v.Type != VSend && v.Type != VReceive) {
 			return
 		}
-		if include[v.ID()] {
+		if p.Get(v.ID()) != nil {
 			return
 		}
 		cp := *v
 		cp.in, cp.out = nil, nil
 		cp.Color = Yellow
 		p.Add(&cp)
-		include[v.ID()] = true
 	}
 	for _, v := range g.order {
 		if v.Host != id {
@@ -310,41 +365,73 @@ func (g *Graph) Project(id types.NodeID) *Graph {
 			remote(w)
 		}
 	}
-	for e := range g.edges {
-		if include[e[0]] && include[e[1]] {
-			_ = p.AddEdge(p.Get(e[0]), p.Get(e[1]))
+	// Edges are copied in g's vertex and adjacency order, so the
+	// projection's adjacency lists are deterministic.
+	for _, v := range g.order {
+		from := p.Get(v.ID())
+		if from == nil {
+			continue
+		}
+		for _, w := range v.out {
+			if to := p.Get(w.ID()); to != nil {
+				_ = p.AddEdge(from, to)
+			}
 		}
 	}
 	return p
 }
 
-// Validate checks structural invariants: every edge is legal per Table 1,
-// at most one open exist vertex per (host, tuple), and at most one open
-// believe vertex per (host, origin, tuple). It returns the first violation.
+// Validate checks structural invariants and returns the first violation:
+//   - every edge joins two vertices of this graph, is legal per Table 1,
+//     and appears in its endpoints' adjacency lists;
+//   - at most one open exist vertex per (host, tuple), and at most one open
+//     believe vertex per (host, origin, tuple);
+//   - the maintained lookup indices (open exist, open believe, open believe
+//     by host and tuple, instants) equal indices rebuilt from Vertices().
 func (g *Graph) Validate() error {
-	for e := range g.edges {
-		from, to := g.vertices[e[0]], g.vertices[e[1]]
-		if from == nil || to == nil {
-			return fmt.Errorf("provgraph: edge references missing vertex %v", e)
+	adjacent := 0
+	for _, v := range g.order {
+		if g.vertices[v.ID()] != v {
+			return fmt.Errorf("provgraph: vertex %s is not indexed under its ID", v)
 		}
-		if !LegalEdge(from.Type, to.Type) {
-			return fmt.Errorf("provgraph: illegal edge %s -> %s", from, to)
+		for _, w := range v.out {
+			if g.vertices[w.ID()] != w {
+				return fmt.Errorf("provgraph: edge %s -> %s references a vertex outside the graph", v, w)
+			}
+			if !LegalEdge(v.Type, w.Type) {
+				return fmt.Errorf("provgraph: illegal edge %s -> %s", v, w)
+			}
+			if !g.HasEdge(v, w) {
+				return fmt.Errorf("provgraph: adjacency edge %s -> %s missing from the edge set", v, w)
+			}
+			adjacent++
 		}
 	}
-	open := map[string]int{}
+	if adjacent != len(g.edges) {
+		return fmt.Errorf("provgraph: %d edges in the edge set, %d in adjacency lists", len(g.edges), adjacent)
+	}
+
+	rebuilt := New()
 	for _, v := range g.order {
-		if v.Open() {
-			var k string
-			if v.Type == VExist {
-				k = "e|" + existKey(v.Host, v.Tuple)
-			} else {
-				k = "b|" + believeKey(v.Host, v.Remote, v.Tuple)
-			}
-			open[k]++
-			if open[k] > 1 {
-				return fmt.Errorf("provgraph: %d open interval vertices for %s", open[k], k)
-			}
+		if v.Type == VExist && v.Open() && rebuilt.OpenExist(v.Host, v.Tuple) != nil ||
+			v.Type == VBelieve && v.Open() && rebuilt.OpenBelieve(v.Host, v.Remote, v.Tuple) != nil {
+			return fmt.Errorf("provgraph: several open %s vertices for %s|%s|%s", v.Type, v.Host, v.Remote, v.Tuple.Key())
 		}
+		rebuilt.Add(v)
+	}
+	if !maps.Equal(g.openExist, rebuilt.openExist) {
+		return fmt.Errorf("provgraph: open exist index differs from the vertices (%d indexed, %d open)",
+			len(g.openExist), len(rebuilt.openExist))
+	}
+	if !maps.Equal(g.openBelieve, rebuilt.openBelieve) {
+		return fmt.Errorf("provgraph: open believe index differs from the vertices (%d indexed, %d open)",
+			len(g.openBelieve), len(rebuilt.openBelieve))
+	}
+	if !maps.EqualFunc(g.believeAny, rebuilt.believeAny, slices.Equal[[]*Vertex]) {
+		return fmt.Errorf("provgraph: believe-by-host|tuple index differs from the vertices")
+	}
+	if !maps.EqualFunc(g.instant, rebuilt.instant, slices.Equal[[]*Vertex]) {
+		return fmt.Errorf("provgraph: instant index differs from the vertices")
 	}
 	return nil
 }

@@ -132,7 +132,11 @@ type Stats struct {
 	Reconnects     uint64 // successful dials after a previous connection
 	FramesReceived uint64
 	DecodeErrors   uint64 // malformed inbound frames (connection dropped)
-	RPCServed      uint64
+	// Rejected counts well-formed inbound packets the node refused (bad
+	// signature, unknown sender, timestamp out of range, ...). They were
+	// delivered, so Dropped does not include them.
+	Rejected  uint64
+	RPCServed uint64
 }
 
 // Dropped sums every frame the transport gave up on.
@@ -169,6 +173,7 @@ type Cluster struct {
 	reconnects     atomic.Uint64
 	framesReceived atomic.Uint64
 	decodeErrors   atomic.Uint64
+	rejected       atomic.Uint64
 	rpcServed      atomic.Uint64
 }
 
@@ -348,8 +353,13 @@ func (c *Cluster) serveConn(m *member, conn net.Conn) {
 			return
 		}
 		m.mu.Lock()
-		_ = m.node.HandlePacket(from, pkt)
+		err = m.node.HandlePacket(from, pkt)
 		m.mu.Unlock()
+		if err != nil {
+			// The node refused the packet's content; the connection stays
+			// up, since the next frame on it may be genuine.
+			c.rejected.Add(1)
+		}
 	}
 }
 
@@ -547,6 +557,7 @@ func (c *Cluster) Stats() Stats {
 		Reconnects:     c.reconnects.Load(),
 		FramesReceived: c.framesReceived.Load(),
 		DecodeErrors:   c.decodeErrors.Load(),
+		Rejected:       c.rejected.Load(),
 		RPCServed:      c.rpcServed.Load(),
 	}
 }
